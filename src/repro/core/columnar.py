@@ -17,20 +17,21 @@ over reusable buffers:
 * :class:`ExpansionArena` — named, geometrically-grown workspace
   buffers (pool offsets, path ids, candidate gathers, masks), so
   steady-state expansion performs no workspace heap allocation beyond
-  short-lived ``np.repeat`` temporaries; survivor arrays handed to the
-  trie are freshly owned.
+  short-lived ``np.repeat`` temporaries and the survivor gathers; the
+  survivor arrays handed to the trie are freshly owned.
 * :class:`QueryPlan` — per-(data, query, order) static tables computed
   once per run: a fused degree+label candidate table per step (one
   boolean gather replaces up to three comparison passes), the per-step
   constraint list, the injectivity column set (live-column analysis
   over ``constraints_at``), and the columns each future step reads.
-* :class:`ColumnarEngine` — the fused expansion: anchor-adjacency pool
-  gather, table filter, remaining-edge probes batched into one sweep
-  (a packed adjacency bitset on small graphs, the
-  :func:`~repro.core.intersect.fused_constraint_mask`
-  segmented-searchsorted sweep otherwise), injectivity prefiltered by a
-  per-path 64-bit Bloom signature carried level-to-level, with **no
-  intermediate** ``np.nonzero`` round trips.
+* :class:`ColumnarEngine` — the compacting expansion: anchor-adjacency
+  pool gather, table filter, then the remaining-edge probes one at a
+  time (a packed, byte-padded adjacency bitset on small graphs,
+  :meth:`~repro.graph.csr.CSRGraph.has_edges` otherwise), then
+  injectivity prefiltered by a per-path 64-bit Bloom signature carried
+  level-to-level.  After every stage that kills lanes the surviving
+  ``(path_ids, cands)`` are gathered by index, so each later stage runs
+  on survivors only; a stage that killed nothing skips the gather.
 
 Three structural shortcuts keep the host work sublinear in what the
 modeled kernel does (the *model* is never shortcut — every counter and
@@ -68,13 +69,12 @@ from __future__ import annotations
 import time as _time
 from math import ceil as _ceil
 from operator import itemgetter as _itemgetter
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from ..gpusim.kernel import LAUNCH_OVERHEAD_CYCLES, launch_kernel
 from ..graph.csr import CSRGraph
-from .intersect import fused_constraint_mask
 from .ordering import MatchOrder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -91,9 +91,10 @@ __all__ = [
 BITSET_MAX_VERTICES = 4096
 """Largest ``|V|`` for which the packed adjacency bitset is built.
 
-The bitset makes every remaining-edge probe O(1) bit tests (``|V|²/8``
-bytes resident, ≤ 2 MiB at this cap); larger graphs fall back to the
-batched segmented-searchsorted sweep."""
+The bitset makes every remaining-edge probe one byte gather and one
+bit test (``|V|²/8`` bytes resident, ≤ 2 MiB at this cap, twice that
+on a directed graph); larger graphs probe with
+:meth:`~repro.graph.csr.CSRGraph.has_edges`."""
 
 Fanout = tuple[str, int, np.ndarray, np.ndarray, int]
 """One constraint's fanout over a frontier:
@@ -106,9 +107,21 @@ _fanout_total = _itemgetter(4)
 _DTYPES = {
     "bool": np.dtype(np.bool_),
     "f8": np.dtype(np.float64),
+    "i4": np.dtype(np.int32),  # repro: ignore[RP003] — bitset byte offsets
     "i8": np.dtype(np.int64),
     "u1": np.dtype(np.uint8),  # repro: ignore[RP003] — byte masks, not ids
 }
+
+
+def _survivors(
+    keep: np.ndarray, *lanes: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """``lanes`` gathered at the nonzero entries of ``keep`` — or
+    returned as they are when no lane died (no gather, no copy)."""
+    sel = np.flatnonzero(keep)
+    if sel.shape[0] == keep.shape[0]:
+        return lanes
+    return tuple(lane.take(sel) for lane in lanes)
 
 
 def slice_fanouts(
@@ -295,7 +308,7 @@ class ColumnarEngine:
         self._iota = np.arange(1024, dtype=np.int64)
         self._owners: np.ndarray | None = None
         self._vbits: np.ndarray | None = None
-        self._bits: np.ndarray | None = None
+        self._bits: tuple[np.ndarray, np.ndarray, int] | None = None
         self._bits_built = False
         self._self_loop_free: bool | None = None
         self._symmetric: bool | None = None
@@ -369,18 +382,33 @@ class ColumnarEngine:
             )
         return self._symmetric
 
-    def _bitset(self) -> np.ndarray | None:
-        """Packed row-major adjacency bitset (or None past the cap)."""
+    def _bitset(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """``(bits, bitmask, row_bytes)``, or None past the cap.
+
+        ``bits`` is the packed adjacency with rows padded to whole
+        bytes: row ``v`` holds ``v``'s out-neighbours and, on a directed
+        graph, row ``n + v`` its in-neighbours, so every probe tests
+        candidate ``c``'s bit ``bitmask[c] == 1 << (c & 7)`` in byte
+        ``row * row_bytes + (c >> 3)``."""
         if not self._bits_built:
             self._bits_built = True
-            n = self.data.num_vertices
+            d = self.data
+            n = d.num_vertices
             if 0 < n <= BITSET_MAX_VERTICES:
-                dense = np.zeros(n * n, dtype=np.bool_)
-                src = np.repeat(
-                    np.arange(n, dtype=np.int64), np.diff(self.data.indptr)
+                ids = np.arange(n, dtype=np.int64)
+                rows = [ids.repeat(np.diff(d.indptr))]
+                cols = [d.indices]
+                if not self.symmetric:
+                    rows.append(n + ids.repeat(np.diff(d.rindptr)))
+                    cols.append(d.rindices)
+                row_bytes = (n + 7) >> 3
+                dense = np.zeros(
+                    (n * len(rows), 8 * row_bytes), dtype=np.bool_
                 )
-                dense[src * n + self.data.indices] = True
-                self._bits = np.packbits(dense, bitorder="little")
+                dense[np.concatenate(rows), np.concatenate(cols)] = True
+                bits = np.packbits(dense, axis=1, bitorder="little")
+                bitmask = np.left_shift(1, ids & 7).astype(_DTYPES["u1"])
+                self._bits = (bits.ravel(), bitmask, row_bytes)
         return self._bits
 
     def plan_for(self, query: CSRGraph, order: MatchOrder) -> QueryPlan:
@@ -465,7 +493,7 @@ class ColumnarEngine:
         return tuple(out)
 
     # ------------------------------------------------------------------
-    # The fused expansion
+    # The compacting expansion
     # ------------------------------------------------------------------
     def extend(
         self,
@@ -477,14 +505,16 @@ class ColumnarEngine:
         bloom: np.ndarray | None = None,
         count_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray] | int:
-        """One fused expansion over ``anc``'s frontier at ``step``.
+        """One compacting expansion over ``anc``'s frontier at ``step``.
 
         Returns ``(pa_local, ca)`` — freshly-owned survivor arrays
         (local parent indices into the frontier, candidate vertices) —
         or, with ``count_only=True`` (leaf steps of a count-only run),
         just the survivor count, skipping the extraction entirely.
-        Charges, statistics, and RNG draws replicate the reference
-        path bit-exactly; the counters land in one batched update.
+        ``bloom`` is the frontier's signature row (built here when the
+        caller has none).  Charges, statistics, and RNG draws replicate
+        the reference path bit-exactly; the counters land in one
+        batched update.
         """
         data = self.data
         cost = state.cost
@@ -523,7 +553,6 @@ class ColumnarEngine:
             cands.reshape(num_frontier, n)[:] = self.iota(n)[None, :]
             pool_counts = arena.take("pool_counts", num_frontier)
             pool_counts[:] = n
-            cum = None
             if total:
                 r_words += total
                 r_txn += num_frontier * max(
@@ -551,222 +580,140 @@ class ColumnarEngine:
                     1, _ceil(total / num_frontier / tw)
                 )
             sh_writes += total
+        pool_cands = cands
         if profile:
             t1 = _time.perf_counter()
             state.stats.record_stage("anchor_gather", t1 - t0)
             t0 = t1
 
         # ----- fused degree + label table filter ----------------------
-        # ``mask is None`` means "every pool lane is live" — the stages
-        # below materialise a mask only at the first lane that can
-        # actually die, so an all-true filter table costs nothing.
-        mask: np.ndarray | None = None
+        # From here on ``path_ids``/``cands`` hold live lanes only: each
+        # stage that can kill a lane gathers the survivors by index (and
+        # skips the gather when none died), so later stages never touch
+        # a dead lane.
         if not plan.filter_all[step]:
             table = plan.filter_tables[step]
             assert table is not None
-            mask = arena.take("mask", total, _DTYPES["bool"])
-            table.take(cands, out=mask, mode="clip")
+            keep = arena.take("keep", total, _DTYPES["bool"])
+            table.take(cands, out=keep, mode="clip")
+            path_ids, cands = _survivors(keep, path_ids, cands)
         instr += 2 * total
         if profile:
             t1 = _time.perf_counter()
             state.stats.record_stage("filter", t1 - t0)
             t0 = t1
 
-        # ----- remaining edge constraints, one batched sweep ----------
+        # ----- remaining edge constraints, probed one at a time -------
         rest = [
             entry
             for entry in fanouts
             if entry[0] != anchor_kind or entry[1] != anchor_j
         ]
         num_rest = len(rest)
-        nz_paths = -1  # paths with a non-empty pool (lazily counted)
-        if num_rest:
-            live1 = total if mask is None else int(np.count_nonzero(mask))
-            if live1:
-                # Inline of CuTSMatcher._choose_intersection (same
-                # arithmetic — the non-anchor entries are exactly
-                # ``rest``); ``cost_c`` doubles as the c-charge's
-                # degree-sum total when no pool is empty.
-                cost_c = 0
-                for entry in rest:
-                    cost_c += entry[4]
-                ci = matcher.config.intersection
-                if ci == "c" or ci == "p":
-                    kind = ci
+        live1 = cands.shape[0]
+        if num_rest and live1:
+            # Inline of CuTSMatcher._choose_intersection (same
+            # arithmetic — the non-anchor entries are exactly ``rest``);
+            # ``cost_c`` doubles as the c-charge's degree-sum total when
+            # every path keeps a live candidate.
+            cost_c = 0
+            for entry in rest:
+                cost_c += entry[4]
+            ci = matcher.config.intersection
+            if ci == "c" or ci == "p":
+                kind = ci
+            else:
+                kind = (
+                    "p"
+                    if live1 * matcher._mean_in_degree * num_rest < cost_c
+                    else "c"
+                )
+            state.stats.record_intersection(kind, num_rest)
+            # The c/p charge reads the *pre-probe* live set, like the
+            # reference path — compute it before the probes.
+            if kind == "c":
+                # Charged per unique live path: the paths with a
+                # non-empty pool when the filter killed nothing, else
+                # the paths the surviving lanes point at.
+                flags = arena.take("flags", num_frontier, _DTYPES["bool"])
+                if cands is pool_cands:
+                    np.greater(pool_counts, 0, out=flags)
                 else:
-                    kind = (
-                        "p"
-                        if live1 * matcher._mean_in_degree * num_rest
-                        < cost_c
-                        else "c"
-                    )
-                state.stats.record_intersection(kind, num_rest)
-                # The c/p charge reads the *pre-probe* live set, like
-                # the reference path — compute it before the probes.
-                if kind == "c":
-                    # Paths with >= 1 filter-surviving candidate == the
-                    # unique live path set.  All-live pools reduce this
-                    # to "paths with a non-empty pool"; otherwise a
-                    # segment-ANY over the nondecreasing path_ids, via
-                    # reduceat on the pool-offset boundaries.  A real
-                    # anchor always has a cumulative-offsets table.
-                    assert cum is not None
+                    flags[:] = False
+                    flags[path_ids] = True
+                live_paths = int(np.count_nonzero(flags))
+                seg = max(1, live_paths)
+                if live_paths == num_frontier:
+                    # The fanout totals already hold the per-path sums.
+                    words = cost_c
+                else:
                     words = 0
-                    if mask is None:
-                        nz_paths = int(np.count_nonzero(pool_counts))
-                        seg = max(1, nz_paths)
-                        if nz_paths == num_frontier:
-                            # No empty pools: the fanout totals already
-                            # hold the charged per-path degree sums.
-                            words = cost_c
-                        else:
-                            nzf = arena.take(
-                                "flags", num_frontier, _DTYPES["bool"]
-                            )
-                            np.greater(pool_counts, 0, out=nzf)
-                            for entry in rest:
-                                words += int(np.sum(entry[3], where=nzf))
-                    else:
-                        flags = arena.take(
-                            "flags", num_frontier, _DTYPES["bool"]
-                        )
-                        seg_starts = arena.take(
-                            "seg_starts", num_frontier
-                        )
-                        np.minimum(
-                            cum[:num_frontier], total - 1, out=seg_starts
-                        )
-                        raw = np.logical_or.reduceat(mask, seg_starts)
-                        np.greater(pool_counts, 0, out=flags)
-                        np.logical_and(flags, raw, out=flags)
-                        seg = max(1, int(np.count_nonzero(flags)))
-                        for entry in rest:
-                            words += int(np.sum(entry[3], where=flags))
-                    sh_reads += words
-                else:
-                    if mask is None:
-                        live_cands = cands
-                    else:
-                        live_cands = cands.compress(mask)
-                    words = int(
-                        (
-                            data.rindptr[live_cands + 1]
-                            - data.rindptr[live_cands]
-                        ).sum()
-                    )
-                    seg = max(1, live_cands.size)
-                    sh_reads += live_cands.size
-                if words:
-                    r_words += words
-                    r_txn += seg * max(1, _ceil(words / seg / tw))
-                instr += words
-                probes = rest
-                if self.symmetric:
-                    # Anchor-column probes are implied by pool
-                    # membership (edge both ways), and a fwd/bwd pair
-                    # on the same column is one predicate: probe once.
-                    seen: set[int] = set()
-                    pruned: list[Fanout] = []
                     for entry in rest:
-                        j = entry[1]
-                        if j == anchor_j or j in seen:
-                            continue
-                        seen.add(j)
-                        pruned.append(entry)
-                    probes = pruned
-                if probes:
-                    if mask is None:
-                        mask = arena.take("mask", total, _DTYPES["bool"])
-                        mask[:] = True
-                    self._apply_constraints(
-                        probes, anc, path_ids, cands, mask, total
-                    )
+                        words += int(np.sum(entry[3], where=flags))
+                sh_reads += words
+            else:
+                words = int(
+                    (data.rindptr[cands + 1] - data.rindptr[cands]).sum()
+                )
+                seg = max(1, live1)
+                sh_reads += live1
+            if words:
+                r_words += words
+                r_txn += seg * max(1, _ceil(words / seg / tw))
+            instr += words
+            path_ids, cands = self._probe(
+                rest, anchor_j, anc, path_ids, cands
+            )
         if profile:
             t1 = _time.perf_counter()
             state.stats.record_stage("intersection", t1 - t0)
             t0 = t1
 
         # ----- injectivity: candidate must be new on its path ---------
-        live2 = total if mask is None else int(np.count_nonzero(mask))
+        live2 = cands.shape[0]
         rejected = 0
-        all_live_pre_inj = mask is None
-        if live2:
-            inj_cols = plan.inj_cols[step]
-            if inj_cols:
-                if bloom is not None:
-                    # Bloom prefilter: a candidate whose bit is absent
-                    # from its path's signature is provably new; the
-                    # exact compare runs only on suspect lanes.
-                    hit = arena.take("bloom_hit", total)
-                    bloom.take(path_ids, out=hit, mode="clip")
-                    bit = arena.take("bloom_bit", total)
-                    self.vbits().take(cands, out=bit, mode="clip")
-                    np.bitwise_and(hit, bit, out=hit)
-                    if mask is None:
-                        sus = hit.nonzero()[0]
-                    else:
-                        maybe = arena.take(
-                            "bloom_maybe", total, _DTYPES["bool"]
-                        )
-                        np.not_equal(hit, 0, out=maybe)
-                        np.logical_and(maybe, mask, out=maybe)
-                        sus = maybe.nonzero()[0]
-                    k = sus.size
-                    if k:
-                        sp = arena.take("sus_p", k)
-                        path_ids.take(sus, out=sp, mode="clip")
-                        sc = arena.take("sus_c", k)
-                        cands.take(sus, out=sc, mode="clip")
-                        # Full (cols, k) matrix compare: one gather +
-                        # one broadcast equal + one ANY reduction —
-                        # constant numpy-call count per expansion
-                        # regardless of depth (per-column loops cost
-                        # more in call overhead than the whole suspect
-                        # set costs in element work).
-                        eqm = self._inj_matrix(anc, inj_cols, sp, sc)
-                        if mask is None and count_only:
-                            # Surviving paths are injective, so a
-                            # candidate equals at most one ancestor:
-                            # lanes-with-a-hit == total hits, and the
-                            # per-lane OR (only needed for extraction)
-                            # is skipped outright.
-                            rejected = int(np.count_nonzero(eqm))
-                        else:
-                            dup = eqm.any(axis=0)
-                            rejected = int(np.count_nonzero(dup))
-                            if rejected:
-                                mask = self._kill(
-                                    mask, sus, dup, total, count_only
-                                )
+        inj_cols = plan.inj_cols[step]
+        if live2 and inj_cols:
+            # Bloom prefilter: a candidate whose bit is absent from its
+            # path's signature is provably new; the exact compare runs
+            # only on suspect lanes.
+            if bloom is None:
+                bloom = self.bloom_of(anc)
+            hit = arena.take("bloom_hit", live2)
+            bloom.take(path_ids, out=hit, mode="clip")
+            bit = arena.take("bloom_bit", live2)
+            self.vbits().take(cands, out=bit, mode="clip")
+            np.bitwise_and(hit, bit, out=hit)
+            sus = np.flatnonzero(hit)
+            k = sus.size
+            if k:
+                sp = arena.take("sus_p", k)
+                path_ids.take(sus, out=sp, mode="clip")
+                sc = arena.take("sus_c", k)
+                cands.take(sus, out=sc, mode="clip")
+                # Full (cols, k) matrix compare: one gather + one
+                # broadcast equal + one ANY reduction — constant
+                # numpy-call count per expansion regardless of depth.
+                eqm = self._inj_matrix(anc, inj_cols, sp, sc)
+                if count_only:
+                    # Surviving paths are injective, so a candidate
+                    # equals at most one ancestor: lanes-with-a-hit ==
+                    # total hits, and the per-lane OR is skipped.
+                    rejected = int(np.count_nonzero(eqm))
                 else:
-                    if mask is None:
-                        mask = arena.take("mask", total, _DTYPES["bool"])
-                        mask[:] = True
-                    src = arena.take("inj_src", total)
-                    dup_m = arena.take("dup", total, _DTYPES["bool"])
-                    eq = arena.take("eq", total, _DTYPES["bool"])
-                    first = True
-                    for col in inj_cols:
-                        anc[col].take(path_ids, out=src, mode="clip")
-                        if first:
-                            np.equal(src, cands, out=dup_m)
-                            first = False
-                        else:
-                            np.equal(src, cands, out=eq)
-                            np.logical_or(dup_m, eq, out=dup_m)
-                    np.logical_not(dup_m, out=dup_m)
-                    np.logical_and(mask, dup_m, out=mask)
-            # Charged for all ``step`` columns even when the self-loop
-            # analysis lets the host skip constraint columns: the
-            # modeled kernel still compares every ancestor.
-            instr += live2 * step
+                    dup = eqm.any(axis=0)
+                    rejected = int(np.count_nonzero(dup))
+                    if rejected:
+                        keep = arena.take("keep", live2, _DTYPES["bool"])
+                        keep[:] = True
+                        keep[sus.compress(dup)] = False
+                        path_ids, cands = _survivors(keep, path_ids, cands)
+        # Charged for all ``step`` columns even when the self-loop
+        # analysis lets the host skip constraint columns: the modeled
+        # kernel still compares every ancestor.
+        instr += live2 * step
+        results = live2 - rejected
 
-        if mask is None or all_live_pre_inj:
-            # The only deaths were the ``rejected`` injectivity lanes
-            # (count-only pools may leave the mask unmaterialised).
-            results = total - rejected
-        else:
-            results = int(np.count_nonzero(mask))
         # ----- write-out + batched model bookkeeping ------------------
         w_words = 2 * results
         # Integer virtual-warp steps t = ceil(c / vw); every quantity
@@ -778,9 +725,7 @@ class ColumnarEngine:
         np.floor_divide(steps, vw, out=steps)
         # idle = sum(ceil(max(c,1)/vw)*vw - c): zero-work paths still
         # occupy one virtual-warp step each (reference semantics).
-        if nz_paths < 0:
-            nz_paths = int(np.count_nonzero(pool_counts))
-        num_zero = num_frontier - nz_paths
+        num_zero = num_frontier - int(np.count_nonzero(pool_counts))
         idle = int(steps.sum()) * vw - total + vw * num_zero
         cost.dram_read_words += r_words
         cost.dram_read_transactions += r_txn
@@ -823,23 +768,18 @@ class ColumnarEngine:
             )
 
         state.tick()
-        if count_only:
-            if profile:
-                t1 = _time.perf_counter()
-                state.stats.record_stage("write_out", t1 - t0)
-            return results
-        if mask is None:
-            # path_ids is freshly owned (a real anchor's repeat result);
-            # the arena-backed disconnected-step table must be copied.
-            pa_local = path_ids if fanouts else path_ids.copy()
-            ca = cands.copy()
-        else:
-            pa_local = path_ids.compress(mask)
-            ca = cands.compress(mask)
+        if not count_only and cands is pool_cands:
+            # No lane died, so the survivors are still the arena-backed
+            # pool (a real anchor's ``repeat`` path table is fresh).
+            cands = cands.copy()
+            if not fanouts:
+                path_ids = path_ids.copy()
         if profile:
             t1 = _time.perf_counter()
             state.stats.record_stage("write_out", t1 - t0)
-        return pa_local, ca
+        if count_only:
+            return results
+        return path_ids, cands
 
     # ------------------------------------------------------------------
     def _inj_matrix(
@@ -871,72 +811,76 @@ class ColumnarEngine:
         np.equal(sub, sc, out=eqm)
         return eqm
 
-    def _kill(
-        self,
-        mask: np.ndarray | None,
-        sus: np.ndarray,
-        dup: np.ndarray,
-        total: int,
-        count_only: bool,
-    ) -> np.ndarray | None:
-        """Clear the duplicate suspect lanes (``sus[dup]``) in ``mask``.
-        A count-only all-live pool needs just the rejection count —
-        lanes are never extracted, so the mask stays unmaterialised."""
-        if mask is None and not count_only:
-            mask = self.arena.take("mask", total, _DTYPES["bool"])
-            mask[:] = True
-        if mask is not None:
-            mask[sus.compress(dup)] = False
-        return mask
-
     # ------------------------------------------------------------------
-    def _apply_constraints(
+    def _probe(
         self,
-        rest: Sequence[Fanout],
+        rest: list[Fanout],
+        anchor_j: int,
         anc: AncColumns,
         path_ids: np.ndarray,
         cands: np.ndarray,
-        mask: np.ndarray,
-        total: int,
-    ) -> None:
-        """AND every remaining edge constraint into ``mask`` over the
-        whole pool (no nonzero round trip; lanes already dead stay
-        dead, so probing them is free of semantic effect)."""
-        data = self.data
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Probe the remaining edge constraints one at a time over the
+        live lanes, compacting ``(path_ids, cands)`` after each probe
+        that kills a lane.  On the bitset, each candidate's byte offset
+        and bit mask are computed once per expansion (and compacted
+        with the lanes), each path's row offset once per probe."""
+        if self.symmetric:
+            # Anchor-column probes are implied by pool membership (edge
+            # both ways), and a fwd/bwd pair on the same column is one
+            # predicate: probe once.
+            seen = {anchor_j}
+            pruned: list[Fanout] = []
+            for entry in rest:
+                if entry[1] not in seen:
+                    seen.add(entry[1])
+                    pruned.append(entry)
+            rest = pruned
         arena = self.arena
-        bits = self._bitset()
-        if bits is None:
-            # Batched fallback: all constraints in one segmented sweep.
-            lanes: list[tuple[np.ndarray, np.ndarray]] = []
-            for kind, j, _starts, _counts, _total in rest:
-                src = anc[j][path_ids]
-                lanes.append(
-                    (src, cands) if kind == "fwd" else (cands, src)
-                )
-            ok = fused_constraint_mask(data, lanes)
-            np.logical_and(mask, ok, out=mask)
-            return
-        n = data.num_vertices
-        src = arena.take("probe_src", total)
-        key = arena.take("probe_key", total)
-        bitpos = arena.take("probe_bit", total)
-        byte = arena.take("probe_byte", total, _DTYPES["u1"])
-        ok = arena.take("probe_ok", total, _DTYPES["bool"])
-        for kind, j, _starts, _counts, _total in rest:
-            anc[j].take(path_ids, out=src, mode="clip")
-            if kind == "fwd":
-                np.multiply(src, n, out=key)
-                np.add(key, cands, out=key)
+        i4, u1 = _DTYPES["i4"], _DTYPES["u1"]
+        table = self._bitset()
+        lanes: tuple[np.ndarray, ...] = (path_ids, cands)
+        if table is not None and rest:
+            bits, bitmask, row_bytes = table
+            in_rows = self.data.num_vertices * row_bytes
+            live = cands.shape[0]
+            cbyte = arena.take("probe_cbyte", live, i4)
+            np.right_shift(cands, 3, out=cbyte)
+            cbit = arena.take("probe_cbit", live, u1)
+            bitmask.take(cands, out=cbit, mode="clip")
+            lanes += (cbyte, cbit)
+        for idx, (kind, j, _starts, _counts, _total) in enumerate(rest):
+            path_ids, cands = lanes[:2]
+            live = cands.shape[0]
+            hit: np.ndarray
+            if table is not None:
+                cbyte, cbit = lanes[2:]
+                row = arena.take("probe_row", anc[j].shape[0], i4)
+                np.multiply(anc[j], row_bytes, out=row)
+                if kind == "bwd" and not self.symmetric:
+                    # In-neighbour rows follow the out-neighbour rows.
+                    np.add(row, in_rows, out=row)
+                at = arena.take("probe_at", live, i4)
+                row.take(path_ids, out=at, mode="clip")
+                np.add(at, cbyte, out=at)
+                byte = arena.take("probe_byte", live, u1)
+                bits.take(at, out=byte, mode="clip")
+                np.bitwise_and(byte, cbit, out=byte)
+                # nonzero runs faster on bool than on uint8 lanes.
+                hit = arena.take("probe_hit", live, _DTYPES["bool"])
+                np.not_equal(byte, 0, out=hit)
             else:
-                np.multiply(cands, n, out=key)
-                np.add(key, src, out=key)
-            np.bitwise_and(key, 7, out=bitpos)
-            np.right_shift(key, 3, out=key)
-            bits.take(key, out=byte, mode="clip")
-            np.right_shift(byte, bitpos, out=key)
-            np.bitwise_and(key, 1, out=key)
-            np.not_equal(key, 0, out=ok)
-            np.logical_and(mask, ok, out=mask)
+                src = arena.take("probe_src", live)
+                anc[j].take(path_ids, out=src, mode="clip")
+                if kind == "fwd":
+                    hit = self.data.has_edges(src, cands)
+                else:
+                    hit = self.data.has_edges(cands, src)
+            last = idx + 1 == len(rest)
+            lanes = _survivors(hit, *(lanes[:2] if last else lanes))
+            if not lanes[1].shape[0]:
+                break
+        return lanes[0], lanes[1]
 
 
 EngineAncestors = Union[AncColumns, np.ndarray, None]

@@ -51,7 +51,10 @@ Resilience guardrails (config-driven): each connection carries a socket
 timeout of ``service_request_timeout_s`` so a stalled peer cannot pin a
 handler thread forever (a mid-body stall gets 408 and the connection is
 closed), and request bodies above ``service_max_body_bytes`` are
-refused with 413 *before* any bytes are read.  ``deadline_ms`` may also
+refused with 413 *before* any bytes are read.  A ``Content-Length``
+that is not a plain byte count gets 400.  Both refusals leave the body
+unread, so they close the connection (``Connection: close``) rather
+than parse its bytes as the next request.  ``deadline_ms`` may also
 arrive as an ``X-Deadline-Ms`` header — proxies can attach deadlines
 without rewriting bodies — and propagates through the scheduler into
 the engine's cooperative wall-clock limit.
@@ -221,15 +224,26 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         for key, value in (headers or {}).items():
             self.send_header(key, value)
         self.end_headers()
         self.wfile.write(body)
 
     def _read_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length", "0"))
+        declared = self.headers.get("Content-Length", "0")
         cap = self.server.max_body_bytes
+        # Both refusals leave the body on the socket, where it would be
+        # parsed as the next request: they close the connection.
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise BadRequest(
+                f"Content-Length {declared!r} is not a byte count"
+            )
+        length = int(declared)
         if length > cap:
+            self.close_connection = True
             raise PayloadTooLarge(
                 f"request body declares {length} bytes; "
                 f"service_max_body_bytes is {cap}"
@@ -312,12 +326,8 @@ class _Handler(BaseHTTPRequestHandler):
             )
         except TimeoutError:
             # The peer stalled mid-body past service_request_timeout_s.
-            try:
-                self._send_json(
-                    408, {"error": "timed out reading request body"}
-                )
-            finally:
-                self.close_connection = True
+            self.close_connection = True
+            self._send_json(408, {"error": "timed out reading request body"})
         except Exception as exc:  # pragma: no cover - defensive
             self._send_json(500, {"error": str(exc)})
 

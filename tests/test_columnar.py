@@ -6,15 +6,18 @@ embedding counts, identical materialised rows, identical modeled
 ``time_ms``, identical hardware counters, identical ``SearchStats``.
 The randomized oracle below sweeps ~50 seeded (graph, query, config)
 triples across labels, directed/backward constraints, disconnected
-query steps, materialisation caps, and governor chunking; the workspace
-tests pin the arena-reuse contract (steady-state expansion allocates
-nothing new).
+query steps, materialisation caps, and governor chunking, plus dense
+multi-probe cases (K4, K5, a paper q5_e6 query), and reruns every case
+past the bitset cap so the ``CSRGraph.has_edges`` probe path is held to
+the same contract; the workspace tests pin the arena-reuse contract
+(steady-state expansion allocates nothing new).
 """
 
 import numpy as np
 import pytest
 
-from repro.core import CuTSConfig, CuTSMatcher
+from repro.core import CuTSConfig, CuTSMatcher, columnar
+from repro.experiments.workloads import paper_cases
 from repro.gpusim import V100, scaled_device
 from repro.graph import (
     chain_graph,
@@ -89,8 +92,27 @@ DIRECTED_TRI = from_edges(
 )
 
 
+def _dense_case(name):
+    """Queries with several edge probes left after the anchor (and, on
+    directed data, no symmetric elision): every probe compacts."""
+    if name == "K4":  # directed data: fwd and bwd probes per column
+        data = random_directed(30, 1000, 4)
+        return data, clique_graph(4), True, {"intersection": "p"}
+    if name == "K5":
+        data = random_graph(36, 0.5, seed=5)
+        return data, clique_graph(5), False, {"intersection": "c"}
+    case = next(
+        c for c in paper_cases(scale=0.05, datasets=("enron",), sizes=(5,))
+        if c.query_name.startswith("q5_e6")
+    )
+    cfg = {"device": scaled_device(V100, 1 << 15), "chunk_size": 64}
+    return case.data, case.query, True, cfg
+
+
 def _oracle_case(seed):
     """One seeded (data, query, config) triple; deterministic in seed."""
+    if isinstance(seed, str):
+        return _dense_case(seed)
     rng = np.random.default_rng(seed)
     kind = seed % 5
     if kind == 0:  # undirected random data, simple query
@@ -137,9 +159,20 @@ def _oracle_case(seed):
     return data, query, materialize, cfg
 
 
-@pytest.mark.parametrize("seed", range(50))
-def test_randomized_equivalence_oracle(seed):
-    data, query, materialize, cfg = _oracle_case(seed)
+ORACLE_CASES = [*range(50), "K4", "K5", "q5_e6"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ORACLE_CASES
+    + [pytest.param(("csr", c), id=f"csr-{c}") for c in ORACLE_CASES],
+)
+def test_randomized_equivalence_oracle(case, monkeypatch):
+    if isinstance(case, tuple):
+        # No bitset: every probe goes through CSRGraph.has_edges.
+        monkeypatch.setattr(columnar, "BITSET_MAX_VERTICES", 0)
+        case = case[1]
+    data, query, materialize, cfg = _oracle_case(case)
     ref, col = both_engines(data, query, materialize=materialize, **cfg)
     assert_bit_exact(ref, col)
 

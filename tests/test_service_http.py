@@ -9,6 +9,7 @@ as an external caller sees them.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import socket
 import threading
@@ -255,6 +256,58 @@ def test_oversized_body_is_413():
         assert exc.value.status == 413
         assert "service_max_body_bytes" in str(exc.value)
         # Small requests still flow on the same server.
+        assert client.healthz()["status"] == "ok"
+
+
+def _connect(client):
+    """One raw keep-alive connection to the server behind ``client``."""
+    host, port = client.base_url.rsplit(":", 2)[-2:]
+    return http.client.HTTPConnection(host.lstrip("/"), int(port), timeout=5.0)
+
+
+def test_413_closes_the_connection():
+    """The refused body is never read, so the server must close the
+    connection: kept open, its bytes would parse as the next request."""
+    with boot(CuTSConfig(service_max_body_bytes=1024)) as (client, _):
+        conn = _connect(client)
+        try:
+            big = json.dumps(
+                {"graph": {"edges": [[0, 1]] * 400, "num_vertices": 2}}
+            )
+            conn.request("POST", "/graphs", big,
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert resp.getheader("Connection") == "close"
+            resp.read()
+            # The next request on this HTTPConnection reconnects and is
+            # answered on its own, not as the leftover body.
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["status"] == "ok"
+        finally:
+            conn.close()
+
+
+@pytest.mark.parametrize("declared", ["abc", "-1"])
+def test_invalid_content_length_is_400_and_closes(declared):
+    """A length that is not a byte count cannot frame the body: 400 at
+    once (``-1`` would otherwise block a read until the socket timeout)
+    and the connection closes."""
+    with boot(CuTSConfig(service_request_timeout_s=30.0)) as (client, _):
+        conn = _connect(client)
+        try:
+            conn.putrequest("POST", "/match")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", declared)
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
         assert client.healthz()["status"] == "ok"
 
 
