@@ -1,6 +1,7 @@
 """RP005 — config drift.
 
-``CuTSConfig`` is the single tunables surface: every experiment,
+``CuTSConfig`` (the fingerprinted ``EngineConfig`` fields plus the
+runtime knobs it adds) is the single tunables surface: every experiment,
 benchmark, and CLI run goes through it.  Drift shows up two ways, and
 both have bitten engines like this one silently: a field nobody reads
 (so "tuning" it is a no-op and ablations lie), or a CLI flag that parses
@@ -9,11 +10,12 @@ the loop statically.
 
 Flagged:
 
-* a ``CuTSConfig`` field never referenced (attribute access or keyword
-  argument) outside ``core/config.py``;
+* a field of either config class never referenced (attribute access or
+  keyword argument) outside ``core/config.py``;
 * an ``argparse`` flag whose destination is never read back off the
   parsed namespace in the CLI module;
-* a ``CuTSConfig(...)`` call passing a keyword that names no field.
+* a config-class call passing a keyword that names none of its fields,
+  inherited ones included.
 """
 
 from __future__ import annotations
@@ -26,21 +28,36 @@ from ..diagnostics import Diagnostic
 from ..engine import Project, SourceModule
 from ..registry import register
 
-CONFIG_CLASS = "CuTSConfig"
+CONFIG_CLASSES = ("EngineConfig", "CuTSConfig")
 
 
-def _config_fields(module: SourceModule) -> dict[str, int] | None:
-    """Annotated fields of the config dataclass (name -> line)."""
+def _config_fields(
+    module: SourceModule,
+) -> dict[str, tuple[dict[str, int], set[str]]]:
+    """Config dataclasses in ``module``.
+
+    Maps each class name to its own annotated fields (name -> line) and
+    the keywords its constructor accepts: its own fields plus those
+    inherited from a config class defined earlier in the module.
+    """
+    classes: dict[str, tuple[dict[str, int], set[str]]] = {}
     for node in ast.walk(module.tree):
-        if isinstance(node, ast.ClassDef) and node.name == CONFIG_CLASS:
-            fields: dict[str, int] = {}
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    fields[stmt.target.id] = stmt.lineno
-            return fields
-    return None
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if node.name not in CONFIG_CLASSES:
+            continue
+        own = {
+            stmt.target.id: stmt.lineno
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+        }
+        accepted = set(own)
+        for base in node.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                accepted |= classes[base.id][1]
+        classes[node.name] = (own, accepted)
+    return classes
 
 
 def _referenced_names(module: SourceModule) -> set[str]:
@@ -104,7 +121,7 @@ class ConfigDriftChecker(Checker):
     rule = "RP005"
     name = "config-drift"
     description = (
-        "every CuTSConfig field is read somewhere real, every CLI flag "
+        "every config field is read somewhere real, every CLI flag "
         "reaches a live destination, no unknown config kwargs"
     )
 
@@ -112,8 +129,8 @@ class ConfigDriftChecker(Checker):
         config_module = project.find("core/config.py")
         if config_module is None:
             return
-        fields = _config_fields(config_module)
-        if fields is None:
+        classes = _config_fields(config_module)
+        if not classes:
             return
 
         used: set[str] = set()
@@ -121,20 +138,22 @@ class ConfigDriftChecker(Checker):
             if module is config_module:
                 continue
             used |= _referenced_names(module)
-        for name, line in sorted(fields.items()):
-            if name not in used:
-                yield Diagnostic(
-                    path=config_module.rel,
-                    line=line,
-                    col=1,
-                    rule=self.rule,
-                    message=(
-                        f"CuTSConfig.{name} is dead: no module outside "
-                        f"config.py reads or sets it"
-                    ),
-                )
+        for cls, (own, _) in classes.items():
+            for name, line in sorted(own.items()):
+                if name not in used:
+                    yield Diagnostic(
+                        path=config_module.rel,
+                        line=line,
+                        col=1,
+                        rule=self.rule,
+                        message=(
+                            f"{cls}.{name} is dead: no module outside "
+                            f"config.py reads or sets it"
+                        ),
+                    )
 
-        yield from self._check_unknown_kwargs(project, set(fields))
+        accepted = {cls: kwargs for cls, (_, kwargs) in classes.items()}
+        yield from self._check_unknown_kwargs(project, accepted)
 
         cli_module = project.find("cli.py")
         if cli_module is not None:
@@ -142,7 +161,7 @@ class ConfigDriftChecker(Checker):
 
     # ------------------------------------------------------------------
     def _check_unknown_kwargs(
-        self, project: Project, fields: set[str]
+        self, project: Project, accepted: dict[str, set[str]]
     ) -> Iterable[Diagnostic]:
         for module in project.modules:
             for node in ast.walk(module.tree):
@@ -156,14 +175,14 @@ class ConfigDriftChecker(Checker):
                     if isinstance(func, ast.Attribute)
                     else None
                 )
-                if callee != CONFIG_CLASS:
+                if callee not in accepted:
                     continue
                 for kw in node.keywords:
-                    if kw.arg is not None and kw.arg not in fields:
+                    if kw.arg is not None and kw.arg not in accepted[callee]:
                         yield self.diag(
                             module,
                             kw.value,
-                            f"unknown CuTSConfig kwarg '{kw.arg}': flag "
+                            f"unknown {callee} kwarg '{kw.arg}': flag "
                             f"or call site drifted from the config schema",
                         )
 

@@ -15,7 +15,7 @@ the CLI, and :func:`run_durable` directly.
 """
 
 from .atomic import atomic_write_bytes, atomic_write_json
-from .fingerprint import (
+from ..fingerprint import (
     CheckpointMismatchError,
     check_fingerprints,
     config_fingerprint,

@@ -37,7 +37,7 @@ from ..core.stats import SearchStats
 from ..graph.csr import CSRGraph
 from ..storage.serialize import deserialize_trie, serialize_trie
 from ..storage.trie import PathTrie, TrieLevel
-from .fingerprint import (
+from ..fingerprint import (
     check_fingerprints,
     config_fingerprint,
     graph_fingerprint,

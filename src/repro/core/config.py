@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 from ..gpusim.device import V100, DeviceSpec
 
-__all__ = ["CuTSConfig", "IntersectionStrategy"]
+__all__ = ["CuTSConfig", "EngineConfig", "IntersectionStrategy"]
 
 IntersectionStrategy = str
 """One of ``"adaptive"``, ``"c"``, ``"p"`` (micro-kernel choice, §4.1.3)."""
@@ -17,8 +17,17 @@ _VALID_ENGINES = ("columnar", "reference")
 
 
 @dataclass(frozen=True)
-class CuTSConfig:
-    """Tunables of the cuTS engine; defaults follow the paper.
+class EngineConfig:
+    """Inputs of the cuTS engine that can change what a search returns.
+
+    Every field declared here is hashed by
+    :func:`repro.fingerprint.config_fingerprint`, in declaration order,
+    and nothing else is: a cache entry, a resume manifest or a service
+    state dir can only be reused under an identical engine config.  A
+    knob that cannot change what is enumerated belongs on
+    :class:`CuTSConfig` instead.  (``profile_expansion`` is diagnostic
+    only but stays here: moving it would change every stored digest.)
+    Defaults follow the paper.
 
     Attributes
     ----------
@@ -59,39 +68,69 @@ class CuTSConfig:
         Seed for the placement shuffle.
     max_materialized:
         Safety cap on materialised matches (counting is never capped).
-    trace_kernels:
-        Retain a per-launch kernel trace on the run's cost model (see
-        :mod:`repro.gpusim.trace`).  Off by default (it grows with the
-        number of launches).
     neighborhood_filter:
         Apply the GraphQL/GADDI-style neighbourhood-degree dominance
         filter to the root candidate set (§3; an optional extension —
         the paper's engine uses the plain degree filter).  Sound: never
         changes the match count, only prunes earlier.
+    """
+
+    device: DeviceSpec = field(default=V100)
+    chunk_size: int = 512
+    randomize_placement: bool = True
+    intersection: IntersectionStrategy = "adaptive"
+    ordering: str = "max_degree"
+    engine: str = "columnar"
+    profile_expansion: bool = False
+    virtual_warp_size: int = 0
+    trie_buffer_fraction: float = 0.5
+    seed: int = 0
+    max_materialized: int | None = None
+    neighborhood_filter: bool = False
+
+    def __post_init__(self) -> None:
+        if self.chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        if self.intersection not in _VALID_STRATEGIES:
+            raise ValueError(
+                f"intersection must be one of {_VALID_STRATEGIES}, "
+                f"got {self.intersection!r}"
+            )
+        if self.ordering not in _VALID_ORDERINGS:
+            raise ValueError(
+                f"ordering must be one of {_VALID_ORDERINGS}, "
+                f"got {self.ordering!r}"
+            )
+        if self.engine not in _VALID_ENGINES:
+            raise ValueError(
+                f"engine must be one of {_VALID_ENGINES}, "
+                f"got {self.engine!r}"
+            )
+        if self.virtual_warp_size < 0:
+            raise ValueError("virtual_warp_size must be >= 0 (0 = auto)")
+        if not 0.0 < self.trie_buffer_fraction <= 1.0:
+            raise ValueError("trie_buffer_fraction must be in (0, 1]")
+
+
+@dataclass(frozen=True)
+class CuTSConfig(EngineConfig):
+    """The engine config plus the runtime, service and cluster knobs.
+
+    None of the fields declared here can change what is enumerated, so
+    none of them is fingerprinted (see :class:`EngineConfig`).
+
+    Attributes
+    ----------
+    trace_kernels:
+        Retain a per-launch kernel trace on the run's cost model (see
+        :mod:`repro.gpusim.trace`).  Off by default (it grows with the
+        number of launches).
     workers:
         Worker **processes** for the multi-core execution engine
         (:mod:`repro.parallel`): the level-0 candidate set is over-split
         into strided intervals (Algorithm 3's ``init_match`` striding,
         one CPU core playing one GPU) and interval results are merged
         exactly.  ``1`` (default) runs the classic in-process engine.
-    oversplit:
-        Strided intervals submitted per worker (the work queue holds
-        ``oversplit * workers`` intervals), so a fast worker steals the
-        slack of a slow one — the load-balance margin of §4.2.
-    ack_timeout_ms:
-        Grace period past the modeled round trip before a sender
-        retransmits an unacknowledged work envelope (distributed
-        reliability layer).
-    retry_backoff:
-        Multiplier applied to the retransmit interval after each
-        attempt (exponential backoff).
-    max_retries:
-        Retransmissions allowed before the sender abandons a shipment,
-        requeues the work locally, and releases its claim on the target.
-    heartbeat_interval_ms:
-        Simulated-time spacing of rank liveness heartbeats.
-    heartbeat_timeout_ms:
-        Silence past which a rank is declared crashed and recovery runs.
     memory_budget_mb:
         Soft host-memory budget (MiB) for live PA/CA allocations,
         enforced by :class:`~repro.core.governor.MemoryGovernor`: under
@@ -114,9 +153,6 @@ class CuTSConfig:
         Matching service (:mod:`repro.service`): bound on the scheduler
         queue.  A submit past this depth is **rejected with a reason**
         (admission control), never silently dropped.
-    service_batch_max:
-        Maximum requests the service dispatcher coalesces into one
-        batched same-graph matcher pass.
     service_cache_bytes:
         Byte budget of the service's LRU result+plan cache; entries are
         evicted least-recently-used past it, and the live cache bytes
@@ -173,32 +209,13 @@ class CuTSConfig:
         oracle and produces the same counts by construction.
     """
 
-    device: DeviceSpec = field(default=V100)
-    chunk_size: int = 512
-    randomize_placement: bool = True
-    intersection: IntersectionStrategy = "adaptive"
-    ordering: str = "max_degree"
-    engine: str = "columnar"
-    profile_expansion: bool = False
-    virtual_warp_size: int = 0
-    trie_buffer_fraction: float = 0.5
-    seed: int = 0
-    max_materialized: int | None = None
     trace_kernels: bool = False
-    neighborhood_filter: bool = False
     workers: int = 1
-    oversplit: int = 4
-    ack_timeout_ms: float = 50.0
-    retry_backoff: float = 2.0
-    max_retries: int = 6
-    heartbeat_interval_ms: float = 25.0
-    heartbeat_timeout_ms: float = 100.0
     memory_budget_mb: int = 0
     checkpoint_every: int = 64
     lease_timeout_s: float = 30.0
     lease_retries: int = 2
     service_queue_depth: int = 64
-    service_batch_max: int = 16
     service_cache_bytes: int = 32 * 1024 * 1024
     service_max_query_vertices: int = 0
     service_request_timeout_s: float = 30.0
@@ -212,43 +229,9 @@ class CuTSConfig:
     versioning_incremental: bool = True
 
     def __post_init__(self) -> None:
-        if self.chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        if self.intersection not in _VALID_STRATEGIES:
-            raise ValueError(
-                f"intersection must be one of {_VALID_STRATEGIES}, "
-                f"got {self.intersection!r}"
-            )
-        if self.ordering not in _VALID_ORDERINGS:
-            raise ValueError(
-                f"ordering must be one of {_VALID_ORDERINGS}, "
-                f"got {self.ordering!r}"
-            )
-        if self.engine not in _VALID_ENGINES:
-            raise ValueError(
-                f"engine must be one of {_VALID_ENGINES}, "
-                f"got {self.engine!r}"
-            )
-        if self.virtual_warp_size < 0:
-            raise ValueError("virtual_warp_size must be >= 0 (0 = auto)")
-        if not 0.0 < self.trie_buffer_fraction <= 1.0:
-            raise ValueError("trie_buffer_fraction must be in (0, 1]")
+        super().__post_init__()
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.oversplit < 1:
-            raise ValueError("oversplit must be >= 1")
-        if self.ack_timeout_ms <= 0:
-            raise ValueError("ack_timeout_ms must be positive")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be positive")
-        if self.heartbeat_timeout_ms < self.heartbeat_interval_ms:
-            raise ValueError(
-                "heartbeat_timeout_ms must be >= heartbeat_interval_ms"
-            )
         if self.memory_budget_mb < 0:
             raise ValueError("memory_budget_mb must be >= 0 (0 = unlimited)")
         if self.checkpoint_every < 1:
@@ -259,8 +242,6 @@ class CuTSConfig:
             raise ValueError("lease_retries must be non-negative")
         if self.service_queue_depth < 1:
             raise ValueError("service_queue_depth must be >= 1")
-        if self.service_batch_max < 1:
-            raise ValueError("service_batch_max must be >= 1")
         if self.service_cache_bytes < 0:
             raise ValueError("service_cache_bytes must be >= 0 (0 = no cache)")
         if self.service_max_query_vertices < 0:

@@ -165,7 +165,8 @@ class CuTSMatcher:
             this directory (see :mod:`repro.checkpoint`) so a killed run
             can be continued with ``resume=True`` at exactly the same
             count.  Checkpointed runs are count-only (``materialize``
-            must stay ``False``) and ignore the time/wall limits.
+            must stay ``False``), take no ``root_filter`` and ignore the
+            time/wall limits.
         checkpoint_every:
             Snapshot cadence in fused expansions (default:
             ``config.checkpoint_every``).  Only with ``checkpoint_dir``.
@@ -200,10 +201,15 @@ class CuTSMatcher:
                 "incremental matching needs both base_result and delta"
             )
         if delta is not None:
-            if materialize or checkpoint_dir is not None or num_parts != 1:
+            if (
+                materialize
+                or checkpoint_dir is not None
+                or num_parts != 1
+                or root_filter is not None
+            ):
                 raise ValueError(
                     "incremental matching is count-only, whole-search, "
-                    "and not checkpointable"
+                    "unfiltered and not checkpointable"
                 )
             # Lazy import: repro.versioning sits above the core engine
             # (mirrors the checkpoint runner import below).
@@ -220,6 +226,10 @@ class CuTSMatcher:
                 raise ValueError(
                     "checkpointed runs are count-only; "
                     "materialize=True is not supported with checkpoint_dir"
+                )
+            if root_filter is not None:
+                raise ValueError(
+                    "root_filter is not supported with checkpoint_dir"
                 )
             from ..checkpoint.runner import run_durable
 

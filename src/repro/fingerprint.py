@@ -2,8 +2,8 @@
 
 A fingerprint names a *job input* by content, not by path or identity:
 the SHA-256 of the CSR arrays for a graph, the SHA-256 of the
-count-relevant config fields for a config.  Two subsystems key on them
-and must agree bit-for-bit:
+:class:`~repro.core.config.EngineConfig` fields for a config.  Two
+subsystems key on them and must agree bit-for-bit:
 
 * **durable jobs** (:mod:`repro.checkpoint`) stamp every manifest with
   the fingerprints of the inputs the snapshot was taken under, and
@@ -13,9 +13,11 @@ and must agree bit-for-bit:
   cache entry can never be served for a graph or config that would
   enumerate differently.
 
-Keeping one implementation here (``repro.checkpoint.fingerprint``
-re-exports it) is what makes that agreement structural rather than
-accidental.
+Keeping one implementation here is what makes that agreement
+structural rather than accidental.  Which config fields count is
+decided by where they are declared: a field is hashed if and only if it
+lives on ``EngineConfig``, so no list of field names can drift from the
+dataclass.
 """
 
 from __future__ import annotations
@@ -25,12 +27,11 @@ import hashlib
 
 import numpy as np
 
-from .core.config import CuTSConfig
+from .core.config import EngineConfig
 from .graph.csr import CSRGraph
 
 __all__ = [
     "CheckpointMismatchError",
-    "COUNT_IRRELEVANT_FIELDS",
     "check_fingerprints",
     "config_fingerprint",
     "graph_fingerprint",
@@ -55,68 +56,17 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     return h.hexdigest()
 
 
-COUNT_IRRELEVANT_FIELDS = frozenset(
-    {
-        # Durability knobs: cadence and budget cannot change what is
-        # enumerated, only how often progress is persisted.
-        "memory_budget_mb",
-        "checkpoint_every",
-        "lease_timeout_s",
-        "lease_retries",
-        # Execution-engine shape: sharding is exact by construction.
-        "trace_kernels",
-        "workers",
-        "oversplit",
-        # Distributed reliability timing.
-        "ack_timeout_ms",
-        "retry_backoff",
-        "max_retries",
-        "heartbeat_interval_ms",
-        "heartbeat_timeout_ms",
-        # Serving knobs: queue shape and cache budget never reach the
-        # enumerator (admission rejects whole requests, it does not
-        # truncate results).
-        "service_queue_depth",
-        "service_batch_max",
-        "service_cache_bytes",
-        "service_max_query_vertices",
-        "service_request_timeout_s",
-        "service_max_body_bytes",
-        "service_degraded_after",
-        # Cluster topology: routing and replication decide *where* a
-        # query runs, never what it enumerates (replicas execute the
-        # same engine under the same count-relevant config).
-        "service_ranks",
-        "service_replication",
-        "service_route_timeout_s",
-        "service_heal_after_ticks",
-        # Versioning: retention depth decides which *versions* remain
-        # addressable, never what any one version enumerates; the
-        # incremental path is equivalence-gated against the full match.
-        "versioning_max_versions",
-        "versioning_incremental",
-    }
-)
-"""Config fields excluded from :func:`config_fingerprint`.
+def config_fingerprint(config: EngineConfig) -> str:
+    """SHA-256 over the fields declared on :class:`EngineConfig`.
 
-Everything listed here is provably count-invariant: changing it between
-runs must not invalidate a checkpoint or miss a cache, because it cannot
-change *what* is enumerated.
-"""
-
-
-def config_fingerprint(config: CuTSConfig) -> str:
-    """SHA-256 over the count-relevant config fields.
-
-    Fields in :data:`COUNT_IRRELEVANT_FIELDS` are excluded; everything
-    else participates, so any config change that could alter counts
-    yields a different fingerprint (and therefore a cache miss / resume
-    refusal rather than a stale answer).
+    Exactly the inputs that can change what is enumerated take part, so
+    such a change yields a different fingerprint (and therefore a cache
+    miss or a resume refusal rather than a stale answer), while the
+    runtime, service and cluster knobs that
+    :class:`~repro.core.config.CuTSConfig` adds never do.
     """
     h = hashlib.sha256()
-    for f in dataclasses.fields(config):
-        if f.name in COUNT_IRRELEVANT_FIELDS:
-            continue
+    for f in dataclasses.fields(EngineConfig):
         value = getattr(config, f.name)
         h.update(f"{f.name}={value!r};".encode("utf-8"))
     return h.hexdigest()

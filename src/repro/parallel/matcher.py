@@ -152,12 +152,13 @@ class ParallelMatcher:
         The data graph; copied **once** into shared memory.
     config:
         Engine tunables, shipped to every worker at pool start.
-        ``config.workers`` / ``config.oversplit`` supply the defaults
-        for the two keyword overrides.
+        ``config.workers`` supplies the default for ``workers``.
     workers:
         Worker processes (``None`` → ``config.workers``).
     oversplit:
-        Intervals submitted per worker (``None`` → ``config.oversplit``).
+        Strided intervals submitted per worker (the work queue holds
+        ``oversplit * workers`` intervals), so a fast worker steals the
+        slack of a slow one — the load-balance margin of §4.2.
     mp_context:
         ``multiprocessing`` start method.  Defaults to ``fork`` where
         available (cheapest start; the segment is attached either way)
@@ -170,7 +171,7 @@ class ParallelMatcher:
         config: CuTSConfig | None = None,
         *,
         workers: int | None = None,
-        oversplit: int | None = None,
+        oversplit: int = 4,
         mp_context: str | None = None,
     ) -> None:
         self.data = data
@@ -178,9 +179,7 @@ class ParallelMatcher:
         self.workers = resolve_workers(
             workers if workers is not None else self.config.workers
         )
-        self.oversplit = (
-            oversplit if oversplit is not None else self.config.oversplit
-        )
+        self.oversplit = oversplit
         if self.oversplit < 1:
             raise ValueError("oversplit must be >= 1")
         if mp_context is None:

@@ -176,6 +176,8 @@ class MatchingService:
     """
 
     _POLL_S = 0.05
+    # Most queued same-graph requests coalesced into one matcher pass.
+    _BATCH_MAX = 16
 
     def __init__(
         self,
@@ -1268,7 +1270,7 @@ class MatchingService:
         while not self._stop.is_set():
             self._observe_pressure()
             batch, dead = self.scheduler.pop_batch(
-                self.config.service_batch_max, timeout=self._POLL_S
+                self._BATCH_MAX, timeout=self._POLL_S
             )
             for request in dead:
                 if request.cancelled.is_set():

@@ -49,7 +49,8 @@ EXPECTED = {
     ("RP004", "repro/distributed/runtime.py", 18),
     ("RP004", "repro/distributed/runtime.py", 19),
     ("RP004", "repro/distributed/runtime.py", 22),
-    ("RP005", "repro/core/config.py", 10),
+    ("RP005", "repro/core/config.py", 9),
+    ("RP005", "repro/core/config.py", 15),
     ("RP005", "repro/cli.py", 12),
     ("RP005", "repro/cli.py", 13),
     ("RP005", "repro/cli.py", 22),

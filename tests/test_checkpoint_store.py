@@ -208,6 +208,10 @@ def test_match_api_guards(tmp_path, small_world):
         )
     with pytest.raises(ValueError, match="requires checkpoint_dir"):
         matcher.match(query, resume=True)
+    with pytest.raises(ValueError, match="root_filter"):
+        matcher.match(
+            query, checkpoint_dir=str(tmp_path / "y"), root_filter=[0, 1, 2]
+        )
 
 
 def test_durable_serial_equals_inprocess(tmp_path, small_world):

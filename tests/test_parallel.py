@@ -281,7 +281,7 @@ def test_config_validates_workers():
     with pytest.raises(ValueError):
         CuTSConfig(workers=0)
     with pytest.raises(ValueError):
-        CuTSConfig(oversplit=0)
+        ParallelMatcher(random_graph(10, 0.3, seed=1), oversplit=0)
 
 
 def test_parallel_match_helper():

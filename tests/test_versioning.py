@@ -288,6 +288,11 @@ def test_incremental_rejects_empty_delta_and_edgeless_query():
         CuTSMatcher(child, cfg).match(
             from_edges(NO_EDGES, num_vertices=2), base_result=0, delta=delta
         )
+    base = matcher.match(chain_graph(3))
+    with pytest.raises(ValueError, match="unfiltered"):
+        CuTSMatcher(child, cfg).match(
+            chain_graph(3), base_result=base, delta=delta, root_filter=[0]
+        )
 
 
 def test_incremental_detects_foreign_base_result():
