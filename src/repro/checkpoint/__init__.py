@@ -10,8 +10,12 @@ fingerprints so a resume refuses mismatched inputs.
 
 Entry points: ``CuTSMatcher.match(checkpoint_dir=...)`` (serial),
 ``ParallelMatcher.match(checkpoint_dir=...)`` (multi-core, per-shard
-persistence + worker watchdog), ``--checkpoint-dir``/``--resume`` in
-the CLI, and :func:`run_durable` directly.
+persistence + worker watchdog), ``DistributedCuTS.match(checkpoint_dir=...)``
+(distributed, committed ``StrideLedger`` intervals),
+``--checkpoint-dir``/``--resume`` in the CLI, and :func:`run_durable`
+directly.  All of them open, resume and finish a job through
+:meth:`CheckpointStore.open_job` / :meth:`CheckpointStore.finish_job`,
+identified by :func:`~repro.checkpoint.store.job_fingerprints`.
 """
 
 from .atomic import atomic_write_bytes, atomic_write_json

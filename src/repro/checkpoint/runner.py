@@ -37,12 +37,7 @@ from ..core.stats import SearchStats
 from ..graph.csr import CSRGraph
 from ..storage.serialize import deserialize_trie, serialize_trie
 from ..storage.trie import PathTrie, TrieLevel
-from ..fingerprint import (
-    check_fingerprints,
-    config_fingerprint,
-    graph_fingerprint,
-)
-from .store import FORMAT_VERSION, CheckpointStore
+from .store import CheckpointStore, job_fingerprints
 
 __all__ = ["run_durable"]
 
@@ -91,18 +86,6 @@ def _unpack(buffer: np.ndarray, step: int) -> _MemItem:
         trie=trie, step=step, frontier=frontier,
         words=_item_words(trie, frontier), packed=buffer,
     )
-
-
-def _fingerprints(
-    matcher: CuTSMatcher, query: CSRGraph, part: int, num_parts: int
-) -> dict[str, str]:
-    return {
-        "version": str(FORMAT_VERSION),
-        "config": config_fingerprint(matcher.config),
-        "data": graph_fingerprint(matcher.data),
-        "query": graph_fingerprint(query),
-        "shard": f"{part}/{num_parts}",
-    }
 
 
 def run_durable(
@@ -155,27 +138,21 @@ def run_durable(
         raise ValueError("checkpoint_every must be >= 1")
 
     store = CheckpointStore(checkpoint_dir)
-    prints = _fingerprints(matcher, query, part, num_parts)
-    manifest = store.read_manifest()
-    if manifest is not None:
-        if not resume:
-            raise ValueError(
-                f"checkpoint directory {store.directory!r} already holds a "
-                "job; pass resume=True to continue it (or point at a fresh "
-                "directory)"
-            )
-        check_fingerprints(dict(manifest.get("fingerprints", {})), prints)
-        if manifest.get("complete"):
-            return _completed_result(matcher, manifest)
-    elif resume:
-        raise ValueError(
-            f"nothing to resume: {store.directory!r} has no manifest"
+    prints = job_fingerprints(
+        matcher.config, matcher.data, query, shard=f"{part}/{num_parts}"
+    )
+    shards = (part,) if num_parts > 1 else ()
+    manifest = store.open_job(
+        prints, resume=resume, part=part, num_parts=num_parts
+    )
+    if manifest is not None and manifest.get("complete"):
+        return MatchResult.from_payload(
+            manifest, matcher.config.device, shards=shards
         )
 
     state = matcher.make_run_state(query)
     n_steps = state.order.num_steps
     order = tuple(state.order.sequence)
-    shards = (part,) if num_parts > 1 else ()
 
     base_count = 0
     base_time_ms = 0.0
@@ -185,18 +162,21 @@ def run_durable(
     spill_seq = 0
     live_spills: set[str] = set()
 
-    snapshot = store.load_latest_snapshot() if manifest is not None else None
-    if manifest is None:
-        store.write_manifest(
-            {
-                "version": FORMAT_VERSION,
-                "fingerprints": prints,
-                "part": part,
-                "num_parts": num_parts,
-                "complete": False,
-            }
+    def finish(count: int, time_ms: float, stats: SearchStats) -> MatchResult:
+        """Commit the complete manifest and build the final result."""
+        stats.record_governor(state.governor)
+        result = MatchResult(
+            count=int(count), matches=None, time_ms=float(time_ms),
+            cost=state.cost, stats=stats, order=order, shards=shards,
         )
+        store.finish_job(
+            prints, part=part, num_parts=num_parts, **result.to_payload()
+        )
+        for name in sorted(live_spills):
+            store.delete_spill(name)
+        return result
 
+    snapshot = store.load_latest_snapshot() if manifest is not None else None
     if snapshot is not None:
         seq, buffers, meta = snapshot
         next_seq = seq + 1
@@ -219,19 +199,11 @@ def run_durable(
     else:
         # Fresh start (or resume before the first snapshot committed).
         if query.num_vertices > matcher.data.num_vertices:
-            return _finish(
-                store, prints, part, num_parts, order, shards,
-                count=0, time_ms=0.0, stats=SearchStats(),
-                state=state, live_spills=live_spills,
-            )
+            return finish(0, 0.0, SearchStats())
         trie = matcher.initial_frontier(state, part=part, num_parts=num_parts)
         roots = trie.num_paths(0)
         if n_steps == 1:
-            return _finish(
-                store, prints, part, num_parts, order, shards,
-                count=roots, time_ms=state.cost.time_ms, stats=state.stats,
-                state=state, live_spills=live_spills,
-            )
+            return finish(roots, state.cost.time_ms, state.stats)
         if roots:
             frontier = np.arange(roots, dtype=np.int64)
             stack.append(
@@ -345,68 +317,7 @@ def run_durable(
 
     final_stats = SearchStats.from_json(base_stats.to_json())
     final_stats.merge(state.stats)
-    return _finish(
-        store, prints, part, num_parts, order, shards,
-        count=base_count + count,
-        time_ms=base_time_ms + state.cost.time_ms,
-        stats=final_stats, state=state, live_spills=live_spills,
+    return finish(
+        base_count + count, base_time_ms + state.cost.time_ms, final_stats
     )
 
-
-def _finish(
-    store: CheckpointStore,
-    prints: dict[str, str],
-    part: int,
-    num_parts: int,
-    order: tuple[int, ...],
-    shards: tuple[int, ...],
-    *,
-    count: int,
-    time_ms: float,
-    stats: SearchStats,
-    state: object,
-    live_spills: set[str],
-) -> MatchResult:
-    """Commit the complete manifest and build the final result."""
-    stats.record_governor(getattr(state, "governor", None))
-    store.write_manifest(
-        {
-            "version": FORMAT_VERSION,
-            "fingerprints": prints,
-            "part": part,
-            "num_parts": num_parts,
-            "complete": True,
-            "count": int(count),
-            "time_ms": float(time_ms),
-            "stats": stats.to_json(),
-            "order": [int(q) for q in order],
-        }
-    )
-    store.prune_snapshots(keep=0)
-    for name in sorted(live_spills):
-        store.delete_spill(name)
-    cost = getattr(state, "cost")
-    return MatchResult(
-        count=int(count), matches=None, time_ms=float(time_ms),
-        cost=cost, stats=stats, order=order, shards=shards,
-    )
-
-
-def _completed_result(
-    matcher: CuTSMatcher, manifest: dict[str, object]
-) -> MatchResult:
-    """Instant result for a job whose manifest is marked complete."""
-    from ..gpusim.cost import CostModel
-
-    stats = SearchStats.from_json(dict(manifest["stats"]))  # type: ignore[arg-type]
-    part = int(manifest.get("part", 0))  # type: ignore[arg-type]
-    num_parts = int(manifest.get("num_parts", 1))  # type: ignore[arg-type]
-    return MatchResult(
-        count=int(manifest["count"]),  # type: ignore[arg-type]
-        matches=None,
-        time_ms=float(manifest["time_ms"]),  # type: ignore[arg-type]
-        cost=CostModel(matcher.config.device),
-        stats=stats,
-        order=tuple(int(q) for q in manifest.get("order", ())),  # type: ignore[arg-type]
-        shards=(part,) if num_parts > 1 else (),
-    )

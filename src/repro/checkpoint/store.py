@@ -1,11 +1,19 @@
-"""On-disk layout of a durable job's checkpoint directory.
+"""On-disk layout of a durable job's checkpoint directory, and the one
+open/resume/finish protocol every durable engine follows.
+
+A job is identified by :func:`job_fingerprints` (format version, config,
+data and query digests plus the engine's own identity keys).
+:meth:`CheckpointStore.open_job` refuses an existing job without
+``resume=True``, refuses to resume an empty directory, checks the
+fingerprints, and writes the fresh manifest;
+:meth:`CheckpointStore.finish_job` writes the complete manifest.
 
 One directory per job:
 
 ``manifest.json``
-    Job identity (fingerprints, shard, layout version) plus, once the
-    job finishes, the final count — so resuming a *complete* job returns
-    instantly without touching snapshots.
+    Job identity (fingerprints, layout version, engine fields) plus,
+    once the job finishes, the final result — so resuming a *complete*
+    job returns instantly without touching snapshots.
 ``snapshot-<seq>.npz``
     One self-contained progress snapshot: the serialized work stack
     (one :func:`~repro.storage.serialize.serialize_trie` buffer per
@@ -38,9 +46,12 @@ from typing import Any
 
 import numpy as np
 
+from ..core.config import EngineConfig
+from ..fingerprint import check_fingerprints, config_fingerprint, graph_fingerprint
+from ..graph.csr import CSRGraph
 from .atomic import atomic_write_bytes, atomic_write_json
 
-__all__ = ["CheckpointStore", "FORMAT_VERSION"]
+__all__ = ["CheckpointStore", "FORMAT_VERSION", "job_fingerprints"]
 
 FORMAT_VERSION = 1
 """Bump when the snapshot/manifest layout changes incompatibly."""
@@ -48,6 +59,23 @@ FORMAT_VERSION = 1
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.npz$")
 _SPILL_RE = re.compile(r"^spill-(\d{8})\.npy$")
 _PART_RE = re.compile(r"^part-(\d{5})\.json$")
+
+
+def job_fingerprints(
+    config: EngineConfig, data: CSRGraph, query: CSRGraph, **identity: object
+) -> dict[str, str]:
+    """What identifies a durable job: the layout version, the config and
+    graph digests, and the engine's own identity keys (``shard`` for the
+    serial runner, ``mode`` + ``num_parts`` / ``num_ranks`` for the
+    multi-core and distributed engines), all as strings."""
+    prints = {
+        "version": str(FORMAT_VERSION),
+        "config": config_fingerprint(config),
+        "data": graph_fingerprint(data),
+        "query": graph_fingerprint(query),
+    }
+    prints.update((key, str(value)) for key, value in identity.items())
+    return prints
 
 
 class CheckpointStore:
@@ -91,6 +119,54 @@ class CheckpointStore:
         except FileNotFoundError:
             return None
         return dict(loaded)
+
+    def open_job(
+        self, fingerprints: dict[str, str], *, resume: bool, **fields: Any
+    ) -> dict[str, Any] | None:
+        """Open this directory's job.
+
+        A fresh directory gets a new manifest (``fields`` are the
+        engine's own manifest entries) and returns ``None``; with
+        ``resume=True`` it raises ``ValueError`` instead.  An existing
+        job is returned as its stored manifest — complete or not — only
+        with ``resume=True`` and matching fingerprints (otherwise
+        ``ValueError`` /
+        :class:`~repro.fingerprint.CheckpointMismatchError`).
+        """
+        manifest = self.read_manifest()
+        if manifest is None:
+            if resume:
+                raise ValueError(
+                    f"nothing to resume: {self.directory!r} has no manifest"
+                )
+            self._write_job(fingerprints, complete=False, **fields)
+            return None
+        if not resume:
+            raise ValueError(
+                f"checkpoint directory {self.directory!r} already holds a "
+                "job; pass resume=True to continue it (or point at a fresh "
+                "directory)"
+            )
+        check_fingerprints(dict(manifest.get("fingerprints", {})), fingerprints)
+        return manifest
+
+    def finish_job(self, fingerprints: dict[str, str], **fields: Any) -> None:
+        """Mark the job complete (``fields`` carry its final result, so
+        a later resume returns instantly) and drop every snapshot."""
+        self._write_job(fingerprints, complete=True, **fields)
+        self.prune_snapshots(keep=0)
+
+    def _write_job(
+        self, fingerprints: dict[str, str], *, complete: bool, **fields: Any
+    ) -> None:
+        self.write_manifest(
+            {
+                "version": FORMAT_VERSION,
+                "fingerprints": fingerprints,
+                "complete": complete,
+                **fields,
+            }
+        )
 
     # ------------------------------------------------------------------
     # Snapshots

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..gpusim.cost import CostModel
+from ..gpusim.device import DeviceSpec
 from .stats import SearchStats
 
 __all__ = ["MatchResult"]
@@ -111,6 +113,39 @@ class MatchResult:
             stats=stats,
             order=self.order or other.order,
             shards=tuple(sorted({*self.shards, *other.shards})),
+        )
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON form of a count-only result: what a durable job's part
+        files and manifests persist and what the service caches.
+        Hardware counters and materialised rows are not part of it."""
+        return {
+            "count": int(self.count),
+            "time_ms": float(self.time_ms),
+            "stats": self.stats.to_json(),
+            "order": [int(q) for q in self.order],
+        }
+
+    @classmethod
+    def from_payload(
+        cls,
+        payload: dict[str, Any],
+        device: DeviceSpec,
+        *,
+        shards: Sequence[int] = (),
+    ) -> "MatchResult":
+        """Rebuild a result :meth:`to_payload` wrote.  Keys it does not
+        read are ignored, so a complete manifest loads directly; a
+        payload without ``"order"`` loads with an empty order.  The cost
+        model is empty (counters are not persisted)."""
+        return cls(
+            count=int(payload["count"]),
+            matches=None,
+            time_ms=float(payload["time_ms"]),
+            cost=CostModel(device),
+            stats=SearchStats.from_json(payload["stats"]),
+            order=tuple(int(q) for q in payload.get("order", ())),
+            shards=tuple(shards),
         )
 
     def mappings(self) -> list[dict[int, int]]:

@@ -31,18 +31,14 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Sequence
+from typing import Sequence
 
-from ..checkpoint.store import FORMAT_VERSION, CheckpointStore
-from ..fingerprint import check_fingerprints, config_fingerprint
-from ..fingerprint import graph_fingerprint as _graph_fp
+from ..checkpoint.store import CheckpointStore, job_fingerprints
 from ..core.candidates import root_candidates
 from ..core.config import CuTSConfig
 from ..core.matcher import CuTSMatcher
 from ..core.ordering import build_order
 from ..core.result import MatchResult
-from ..core.stats import SearchStats
-from ..gpusim.cost import CostModel
 from ..graph.csr import CSRGraph
 from .sharedmem import SharedCSR, SharedCSRMeta
 
@@ -284,16 +280,6 @@ class ParallelMatcher:
         )
         return max(1, min(num_roots, self.oversplit * self.workers))
 
-    def _fingerprints(self, query: CSRGraph, num_parts: int) -> dict[str, str]:
-        return {
-            "version": str(FORMAT_VERSION),
-            "mode": "parallel",
-            "config": config_fingerprint(self.config),
-            "data": _graph_fp(self.data),
-            "query": _graph_fp(query),
-            "num_parts": str(num_parts),
-        }
-
     def match(
         self,
         query: CSRGraph,
@@ -339,41 +325,22 @@ class ParallelMatcher:
         completed: dict[int, MatchResult] = {}
         if checkpoint_dir is not None:
             store = CheckpointStore(checkpoint_dir)
-            manifest = store.read_manifest()
-            if manifest is not None:
-                if not resume:
-                    raise ValueError(
-                        f"checkpoint directory {store.directory!r} already "
-                        "holds a job; pass resume=True to continue it"
-                    )
+            stored = store.read_manifest() if resume else None
+            if stored is not None:
                 # The stored shard count wins: resuming with a different
                 # worker count must not change the partitioning.
-                num_parts = int(manifest.get("num_parts", num_parts))
-                check_fingerprints(
-                    dict(manifest.get("fingerprints", {})),
-                    self._fingerprints(query, num_parts),
-                )
-                if manifest.get("complete"):
-                    num_parts = int(manifest["num_parts"])
+                num_parts = int(stored.get("num_parts", num_parts))
+            prints = job_fingerprints(
+                self.config, self.data, query,
+                mode="parallel", num_parts=num_parts,
+            )
+            opened = store.open_job(prints, resume=resume, num_parts=num_parts)
+            if opened is not None:  # resuming: keep the shards on disk
                 for part, payload in store.load_parts().items():
                     if 0 <= part < num_parts:
-                        completed[part] = _result_from_payload(
-                            payload, self.config, part
+                        completed[part] = MatchResult.from_payload(
+                            payload, self.config.device, shards=(part,)
                         )
-            else:
-                if resume:
-                    raise ValueError(
-                        f"nothing to resume: {store.directory!r} has no "
-                        "manifest"
-                    )
-                store.write_manifest(
-                    {
-                        "version": FORMAT_VERSION,
-                        "fingerprints": self._fingerprints(query, num_parts),
-                        "num_parts": num_parts,
-                        "complete": False,
-                    }
-                )
 
         hb_tmp: tempfile.TemporaryDirectory[str] | None = None
         if store is not None:
@@ -393,15 +360,9 @@ class ParallelMatcher:
 
         merged = self._merge_job(keyed, 0, num_parts)
         if store is not None:
-            store.write_manifest(
-                {
-                    "version": FORMAT_VERSION,
-                    "fingerprints": self._fingerprints(query, num_parts),
-                    "num_parts": num_parts,
-                    "complete": True,
-                    "count": int(merged.count),
-                    "time_ms": float(merged.time_ms),
-                }
+            store.finish_job(
+                prints, num_parts=num_parts,
+                count=int(merged.count), time_ms=float(merged.time_ms),
             )
         return merged
 
@@ -498,15 +459,17 @@ class ParallelMatcher:
         ``(job_index, part)``.  ``store`` (single-job durable runs only)
         persists completed shards under their part index.
         """
-        pool = self._ensure_pool()
-        timeout_s = self.config.lease_timeout_s
-        poll_s = max(0.02, min(0.5, timeout_s / 4.0))
-        max_leases = 1 + self.config.lease_retries
         all_keys = [
             (j, part)
             for j, (_, num_parts) in enumerate(jobs)
             for part in range(num_parts)
         ]
+        if all(key in completed for key in all_keys):
+            return  # e.g. resuming a finished job: no pool needed
+        pool = self._ensure_pool()
+        timeout_s = self.config.lease_timeout_s
+        poll_s = max(0.02, min(0.5, timeout_s / 4.0))
+        max_leases = 1 + self.config.lease_retries
         leases: dict[tuple[int, int], int] = dict.fromkeys(all_keys, 0)
         lease_at: dict[tuple[int, int], float] = {}
         pending: dict[Future[MatchResult], tuple[int, int]] = {}
@@ -550,7 +513,7 @@ class ParallelMatcher:
                 return  # duplicate delivery (slow original after re-lease)
             completed[key] = result
             if store is not None and key[0] == 0:
-                store.save_part(key[1], _payload_from_result(result))
+                store.save_part(key[1], result.to_payload())
 
         for key in all_keys:
             if key not in completed:
@@ -602,32 +565,6 @@ class ParallelMatcher:
     def count(self, query: CSRGraph, **kwargs: object) -> int:
         """Convenience: number of embeddings only."""
         return self.match(query, **kwargs).count
-
-
-def _payload_from_result(result: MatchResult) -> dict[str, Any]:
-    """JSON form of one completed shard (count-only durable mode)."""
-    return {
-        "count": int(result.count),
-        "time_ms": float(result.time_ms),
-        "stats": result.stats.to_json(),
-        "order": [int(q) for q in result.order],
-    }
-
-
-def _result_from_payload(
-    payload: dict[str, Any], config: CuTSConfig, part: int
-) -> MatchResult:
-    """Rebuild a persisted shard result (hardware counters are not
-    persisted; a resumed shard contributes an empty cost model)."""
-    return MatchResult(
-        count=int(payload["count"]),
-        matches=None,
-        time_ms=float(payload["time_ms"]),
-        cost=CostModel(config.device),
-        stats=SearchStats.from_json(payload["stats"]),
-        order=tuple(int(q) for q in payload.get("order", ())),
-        shards=(part,),
-    )
 
 
 def parallel_match(

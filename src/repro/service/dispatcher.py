@@ -64,7 +64,6 @@ from ..core.config import CuTSConfig
 from ..core.matcher import CuTSMatcher, SearchTimeout
 from ..core.result import MatchResult
 from ..core.stats import SearchStats
-from ..gpusim.cost import CostModel
 from ..parallel.matcher import ParallelMatcher
 from .cache import LRUBytesCache
 from .faults import InjectedEngineFault, ServiceFaultInjector
@@ -90,12 +89,7 @@ def payload_checksum(payload: dict[str, object]) -> str:
 def payload_from_result(result: MatchResult) -> dict[str, object]:
     """JSON-safe form of a count-mode result (what the cache stores and
     the job journal persists), sealed with a content checksum."""
-    payload: dict[str, object] = {
-        "count": int(result.count),
-        "time_ms": float(result.time_ms),
-        "stats": result.stats.to_json(),
-        "order": [int(q) for q in result.order],
-    }
+    payload: dict[str, object] = result.to_payload()
     payload["checksum"] = payload_checksum(payload)
     return payload
 
@@ -113,14 +107,7 @@ def result_from_payload(
 ) -> MatchResult:
     """Rebuild a cached result (hardware counters are not cached; a
     cache hit contributes an empty cost model, like a resumed shard)."""
-    return MatchResult(
-        count=int(payload["count"]),  # type: ignore[arg-type]
-        matches=None,
-        time_ms=float(payload["time_ms"]),  # type: ignore[arg-type]
-        cost=CostModel(config.device),
-        stats=SearchStats.from_json(payload["stats"]),  # type: ignore[arg-type]
-        order=tuple(int(q) for q in payload["order"]),  # type: ignore[union-attr]
-    )
+    return MatchResult.from_payload(payload, config.device)
 
 
 def _payload_bytes(payload: dict[str, object]) -> int:

@@ -17,7 +17,13 @@ from repro.checkpoint import (
     run_durable,
 )
 from repro.core import CuTSConfig, CuTSMatcher
+from repro.core.result import MatchResult
+from repro.core.stats import SearchStats
+from repro.distributed.runtime import DistributedCuTS
+from repro.gpusim.cost import CostModel
+from repro.gpusim.device import V100
 from repro.graph.generators import clique_graph, social_graph
+from repro.parallel.matcher import ParallelMatcher
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +163,10 @@ def test_check_fingerprints_raises_on_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# run_durable misuse guards.
+# The open/resume/finish protocol, on every durable engine.
 # ---------------------------------------------------------------------------
+
+ENGINES = ["serial", "parallel", "distributed"]
 
 
 @pytest.fixture(scope="module")
@@ -167,37 +175,166 @@ def small_world():
     return CuTSMatcher(data, CuTSConfig()), clique_graph(3)
 
 
-def test_existing_job_requires_resume(tmp_path, small_world):
+def _durable(engine, matcher, query, directory, **kwargs):
+    """Run ``query`` as a durable job: serial, 2 workers or 2 ranks."""
+    if engine == "serial":
+        return run_durable(matcher, query, checkpoint_dir=directory, **kwargs)
+    if engine == "parallel":
+        with ParallelMatcher(matcher.data, matcher.config, workers=2) as pm:
+            return pm.match(query, checkpoint_dir=directory, **kwargs)
+    return DistributedCuTS(matcher.data, 2, matcher.config).match(
+        query, checkpoint_dir=directory, **kwargs
+    )
+
+
+def _forbid_search(monkeypatch):
+    """Fail the test if any engine sets up a search or a worker pool."""
+
+    def searched(*_args, **_kwargs):
+        raise AssertionError("a finished job started a search")
+
+    monkeypatch.setattr(CuTSMatcher, "make_run_state", searched)
+    monkeypatch.setattr(ParallelMatcher, "_make_pool", searched)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_existing_job_requires_resume(tmp_path, small_world, engine):
     matcher, query = small_world
     d = str(tmp_path / "job")
-    run_durable(matcher, query, checkpoint_dir=d)
+    _durable(engine, matcher, query, d)
     with pytest.raises(ValueError, match="resume=True"):
-        run_durable(matcher, query, checkpoint_dir=d)
+        _durable(engine, matcher, query, d)
 
 
-def test_resume_requires_existing_manifest(tmp_path, small_world):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_resume_requires_existing_manifest(tmp_path, small_world, engine):
     matcher, query = small_world
     with pytest.raises(ValueError, match="nothing to resume"):
-        run_durable(
-            matcher, query, checkpoint_dir=str(tmp_path / "void"), resume=True
-        )
+        _durable(engine, matcher, query, str(tmp_path / "void"), resume=True)
 
 
-def test_resume_refuses_mismatched_query(tmp_path, small_world):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_resume_refuses_mismatched_query(tmp_path, small_world, engine):
     matcher, query = small_world
     d = str(tmp_path / "job")
-    run_durable(matcher, query, checkpoint_dir=d)
+    _durable(engine, matcher, query, d)
     with pytest.raises(CheckpointMismatchError):
-        run_durable(matcher, clique_graph(4), checkpoint_dir=d, resume=True)
+        _durable(engine, matcher, clique_graph(4), d, resume=True)
 
 
-def test_resume_of_complete_job_is_instant_and_exact(tmp_path, small_world):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_resume_of_complete_job_is_instant_and_exact(
+    tmp_path, small_world, engine, monkeypatch
+):
     matcher, query = small_world
     d = str(tmp_path / "job")
-    first = run_durable(matcher, query, checkpoint_dir=d)
-    again = run_durable(matcher, query, checkpoint_dir=d, resume=True)
-    assert again.count == first.count == matcher.match(query).count
-    assert again.time_ms == first.time_ms
+    expected = matcher.match(query).count
+    first = _durable(engine, matcher, query, d)
+    _forbid_search(monkeypatch)
+    again = _durable(engine, matcher, query, d, resume=True)
+    assert again.count == first.count == expected
+    if engine == "distributed":
+        assert again == first
+    else:
+        assert again.time_ms == first.time_ms
+
+
+# A finished job as the format-1 engines wrote it: the literal manifest
+# and part-file shapes below must keep resuming without a migration.
+STORED_STATS = {
+    "cancelled_at_dispatch": 0,
+    "chunk_halvings": 0,
+    "chunks_processed": 0,
+    "intersection_calls": {"c": 3, "p": 0},
+    "max_chunk_depth": 0,
+    "paths_per_depth": [120, 700, 12345],
+    "peak_frontier": 64,
+    "peak_tracked_bytes": 4096,
+    "peak_trie_words": 0,
+    "spilled_chunks": 0,
+    "stage_wall_s": {},
+}
+
+
+def _stored_job(engine, directory, matcher, query):
+    """Write a complete job for ``engine`` with the fake count 12345."""
+    prints = {
+        "version": "1",
+        "config": config_fingerprint(matcher.config),
+        "data": graph_fingerprint(matcher.data),
+        "query": graph_fingerprint(query),
+    }
+    if engine == "serial":
+        prints["shard"] = "0/1"
+        manifest = {
+            "version": 1, "fingerprints": prints, "part": 0, "num_parts": 1,
+            "complete": True, "count": 12345, "time_ms": 1.5,
+            "stats": STORED_STATS, "order": [0, 1, 2],
+        }
+    elif engine == "parallel":
+        prints.update(mode="parallel", num_parts="2")
+        manifest = {
+            "version": 1, "fingerprints": prints, "num_parts": 2,
+            "complete": True, "count": 12345, "time_ms": 1.5,
+        }
+        atomic_write_json(
+            os.path.join(directory, "part-00000.json"),
+            {"count": 12000, "time_ms": 1.5, "stats": STORED_STATS,
+             "order": [0, 1, 2]},
+        )
+        # A part file without "order" still loads (empty order).
+        atomic_write_json(
+            os.path.join(directory, "part-00001.json"),
+            {"count": 345, "time_ms": 1.0, "stats": STORED_STATS},
+        )
+    else:
+        prints.update(mode="distributed", num_ranks="2")
+        manifest = {
+            "version": 1, "fingerprints": prints, "complete": True,
+            "result": {
+                "count": 12345, "runtime_ms": 1.5,
+                "per_rank_clock_ms": [1.5, 1.0],
+                "per_rank_busy_ms": [1.25, 1.0],
+                "chunks_processed": [3, 4], "work_transfers": 1,
+                "words_transferred": 9, "faults_injected": 0,
+                "retransmissions": 0, "ranks_failed": 0,
+                "recovered_chunks": 0,
+            },
+        }
+    atomic_write_json(os.path.join(directory, "manifest.json"), manifest)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_complete_job_in_the_stored_format_resumes_without_search(
+    tmp_path, small_world, engine, monkeypatch
+):
+    matcher, query = small_world
+    d = tmp_path / "job"
+    d.mkdir()
+    _stored_job(engine, str(d), matcher, query)
+    _forbid_search(monkeypatch)
+    resumed = _durable(engine, matcher, query, str(d), resume=True)
+    assert resumed.count == 12345
+    if engine == "distributed":
+        assert resumed.per_rank_clock_ms == (1.5, 1.0)
+    else:
+        assert (resumed.time_ms, resumed.order) == (1.5, (0, 1, 2))
+
+
+def test_result_payload_roundtrip():
+    result = MatchResult(
+        count=7, matches=None, time_ms=2.5, cost=CostModel(V100),
+        stats=SearchStats.from_json(STORED_STATS), order=(2, 0, 1),
+    )
+    payload = result.to_payload()
+    assert json.loads(json.dumps(payload)) == payload
+    back = MatchResult.from_payload(payload, V100, shards=(3,))
+    assert (back.count, back.time_ms, back.order, back.shards) == (
+        7, 2.5, (2, 0, 1), (3,)
+    )
+    assert back.stats.to_json() == STORED_STATS
+    del payload["order"]
+    assert MatchResult.from_payload(payload, V100).order == ()
 
 
 def test_match_api_guards(tmp_path, small_world):
